@@ -7,10 +7,10 @@ duration of one sweep cell; this module makes them durable.  A
 exactly like the in-memory cache — that any number of worker processes
 (or successive runs) may read and write concurrently:
 
-* **writes are atomic**: the payload is pickled into a temp file in the
-  same directory, flushed, fsynced, and ``os.replace``-renamed into
-  place; a sidecar metadata file (carrying a BLAKE2b checksum of the
-  payload bytes) is written the same way *after* the payload, so a
+* **writes are atomic**: the payload is published with
+  :func:`repro.durable.atomic_write_bytes` (temp file, fsync, rename); a
+  sidecar metadata file (carrying a BLAKE2b checksum of the
+  payload bytes) is published the same way *after* the payload, so a
   metadata file existing implies its payload was fully published.  Two
   workers racing on the same key both write identical content (producers
   are pure functions of ``(graph, params)``), so rename's
@@ -48,7 +48,6 @@ is under a byte bound and clears quarantined files older than a cutoff.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import pickle
@@ -58,12 +57,12 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.cache import _freeze, canonicalize_params
+from repro.durable import EventLog, atomic_write_bytes, read_log
 from repro.observability import add_counter
 
 __all__ = [
     "DiskArtifactCache",
     "entry_key",
-    "atomic_write_bytes",
     "load_cache_events",
 ]
 
@@ -94,45 +93,6 @@ def entry_key(digest: bytes, artifact: str,
 
 def _checksum(blob: bytes) -> str:
     return hashlib.blake2b(blob, digest_size=16).hexdigest()
-
-
-def _fsync_dir(path: Path) -> None:
-    """Make a rename durable; best-effort where directories can't be opened."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-_TMP_SERIAL = itertools.count()
-
-
-def atomic_write_bytes(path: Path, blob: bytes, fsync: bool = True) -> None:
-    """Publish ``blob`` at ``path`` via temp file + fsync + atomic rename.
-
-    Readers never observe a partial file: they see either the old content
-    or the new, complete content.  The temp file lives in the same
-    directory so the rename cannot cross filesystems, and its name is
-    unique per call (pid + serial), not just per process — two *threads*
-    racing to publish the same path must not share a temp file, or the
-    loser renames a file the winner already moved.
-    """
-    tmp = path.with_name(
-        f".{path.name}.{os.getpid()}.{next(_TMP_SERIAL)}.tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(blob)
-        handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    if fsync:
-        _fsync_dir(path.parent)
 
 
 class DiskArtifactCache:
@@ -186,17 +146,11 @@ class DiskArtifactCache:
     # -- events ------------------------------------------------------------
 
     def _record_event(self, kind: str, **details) -> None:
-        entry = {"kind": kind, "time": time.time(), "pid": os.getpid()}
-        entry.update(details)
-        line = json.dumps(entry, sort_keys=True) + "\n"
-        try:
-            with open(self._events_path(), "a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
-        except OSError:
-            # The event log is observability, not correctness; a full or
-            # read-only disk must not fail the lookup that triggered it.
-            pass
+        # Opened per event: the cache object may cross a fork, and each
+        # process must append to its own file.  Never rotated, so
+        # load_cache_events sees every event.
+        with EventLog(self._events_path(), max_bytes=0) as log:
+            log.record(kind, **details)
 
     # -- quarantine --------------------------------------------------------
 
@@ -471,20 +425,7 @@ def load_cache_events(cache_dir: Union[str, Path]) -> List[Dict[str, object]]:
     mid-append); complete lines before a torn one are kept.
     """
     events: List[Dict[str, object]] = []
-    events_dir = Path(cache_dir) / "events"
-    if not events_dir.is_dir():
-        return events
-    for path in sorted(events_dir.glob("*.jsonl")):
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            continue
-        for line in raw.splitlines(keepends=True):
-            if not line.endswith(b"\n"):
-                break
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
-                break
+    for path in sorted((Path(cache_dir) / "events").glob("*.jsonl")):
+        events.extend(read_log(path)[0])
     events.sort(key=lambda entry: entry.get("time", 0.0))
     return events

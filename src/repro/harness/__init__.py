@@ -42,7 +42,6 @@ from repro.harness.scheduler import (
     run_sharded_experiment,
 )
 from repro.harness.asciiplot import line_plot
-from repro.harness.timeout import run_cell_with_timeout
 from repro.harness.tuning import GridSearchResult, grid_search
 from repro.harness.report import markdown_report
 
@@ -68,7 +67,6 @@ __all__ = [
     "RunRecord",
     "ResultTable",
     "line_plot",
-    "run_cell_with_timeout",
     "grid_search",
     "GridSearchResult",
     "markdown_report",

@@ -23,19 +23,20 @@ Format — one JSON object per line:
   per-repetition records and the statistics derived from them resume
   independently.
 
-A crash mid-append leaves a truncated last line; on open the journal
-drops it (the cell simply reruns) and truncates the file back to the
-last complete line before appending again.
+Durability is :mod:`repro.durable`'s: a crash mid-append leaves at
+worst a torn last line, which the journal drops on open (the cell simply
+reruns), truncating the file back to the last complete line before
+appending again.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
+from repro.durable import AppendLog, read_log
 from repro.exceptions import ExperimentError
 from repro.harness.results import RunRecord
 
@@ -129,15 +130,16 @@ class RunJournal:
     Open it on a fresh path to start journaling; open it on an existing
     path to resume — previously journaled records are available through
     :meth:`get` / :attr:`records` and membership tests, and new appends
-    continue the same file.  Every append is flushed and fsynced before
-    returning, making the journal a true write-ahead log.
+    continue the same file.  Every append is durable before it returns
+    (:class:`repro.durable.AppendLog`), making the journal a true
+    write-ahead log.
 
     A journal has exactly **one writer: the process that opened it**.
     The parallel sweep executor keeps this invariant by streaming records
     from pool workers back to the parent, which performs every append;
     concurrent appends from multiple processes would interleave partial
-    lines and corrupt the log.  :meth:`append` asserts the invariant, so
-    a journal object smuggled into a forked child fails loudly instead.
+    lines and corrupt the log.  Appends assert the invariant, so a
+    journal object smuggled into a forked child fails loudly instead.
     """
 
     def __init__(self, path: Union[str, Path],
@@ -146,26 +148,16 @@ class RunJournal:
         self.fingerprint = fingerprint
         self._records: Dict[str, RunRecord] = {}
         self._stats: Dict[str, Dict] = {}
-        self._handle = None
-        self._owner_pid = os.getpid()
+        self._log = AppendLog(self.path)
+        self._header_checked = False
         self._load()
 
     # -- loading -----------------------------------------------------------
 
     def _load(self) -> None:
-        if not self.path.exists():
-            return
-        raw = self.path.read_bytes()
-        good_bytes = 0
+        entries, good_bytes = read_log(self.path)
         header_seen = False
-        for line in raw.splitlines(keepends=True):
-            if not line.endswith(b"\n"):
-                break  # truncated trailing line from a crash mid-append
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                break  # corrupt tail; keep only the prefix before it
-            good_bytes += len(line)
+        for entry in entries:
             kind = entry.get("kind")
             if kind == "header" and not header_seen:
                 header_seen = True
@@ -175,7 +167,7 @@ class RunJournal:
                 self._records[entry["key"]] = record
             elif kind == "stats":
                 self._stats[entry["key"]] = dict(entry["entry"])
-        if good_bytes < len(raw):
+        if self.path.exists() and good_bytes < self.path.stat().st_size:
             with open(self.path, "r+b") as handle:
                 handle.truncate(good_bytes)
 
@@ -200,23 +192,16 @@ class RunJournal:
 
     # -- writing -----------------------------------------------------------
 
-    def _ensure_open(self):
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fresh = not self.path.exists() or self.path.stat().st_size == 0
-            self._handle = open(self.path, "a", encoding="utf-8")
-            if fresh:
-                self._write_line({
+    def _write(self, entry: Dict) -> None:
+        if not self._header_checked:
+            if not self.path.exists() or self.path.stat().st_size == 0:
+                self._log.append({
                     "kind": "header",
                     "version": _FORMAT_VERSION,
                     "fingerprint": self.fingerprint,
                 })
-        return self._handle
-
-    def _write_line(self, entry: Dict) -> None:
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+            self._header_checked = True
+        self._log.append(entry)
 
     def append(self, key: str, record: RunRecord) -> None:
         """Durably journal one completed cell (idempotent per key).
@@ -224,19 +209,9 @@ class RunJournal:
         Only the process that opened the journal may append: a JSONL
         write-ahead log tolerates exactly one writer.
         """
-        if os.getpid() != self._owner_pid:
-            raise ExperimentError(
-                f"journal shard {self.path} is owned by pid "
-                f"{self._owner_pid} but append was called from pid "
-                f"{os.getpid()} — an open journal crossed a fork/spawn "
-                "boundary; each process must open its own shard (see "
-                "repro.harness.scheduler) or stream records back to the "
-                "owning process"
-            )
         if key in self._records:
             return
-        self._ensure_open()
-        self._write_line({
+        self._write({
             "kind": "record",
             "key": key,
             "record": record.to_dict(),
@@ -251,16 +226,9 @@ class RunJournal:
         ``to_dict`` payload).  Same single-writer contract as
         :meth:`append`.
         """
-        if os.getpid() != self._owner_pid:
-            raise ExperimentError(
-                f"journal {self.path} is owned by pid {self._owner_pid} "
-                f"but append_stats was called from pid {os.getpid()} — "
-                "stream stats entries back to the owning process instead"
-            )
         if key in self._stats:
             return
-        self._ensure_open()
-        self._write_line({
+        self._write({
             "kind": "stats",
             "key": key,
             "entry": entry,
@@ -268,9 +236,8 @@ class RunJournal:
         self._stats[key] = dict(entry)
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._log.close()
+        self._header_checked = False
 
     # -- reading -----------------------------------------------------------
 

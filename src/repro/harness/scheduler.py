@@ -37,7 +37,9 @@ the fleet.
 Records are deduplicated on merge (first shard in sorted order wins):
 the only way a cell appears twice is the benign crash window between a
 durable shard append and the done marker, and both records were computed
-from the same :func:`~repro.harness.runner.cell_seed`.
+from the same :func:`~repro.harness.runner.cell_seed`.  Shards and the
+event log are appended, and heartbeats, attempts, and done markers
+published, through :mod:`repro.durable`.
 """
 
 from __future__ import annotations
@@ -53,6 +55,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.durable import (
+    EventLog,
+    atomic_write_bytes,
+    load_event_segments,
+    read_log,
+)
 from repro.exceptions import ExperimentError
 from repro.harness.journal import (
     RunJournal,
@@ -72,9 +80,6 @@ __all__ = [
     "read_attempts",
     "bump_attempts",
     "suppress_heartbeats",
-    "EventLog",
-    "event_log_segments",
-    "load_event_segments",
     "load_recovery_events",
     "merge_shard_records",
     "run_sharded_experiment",
@@ -147,12 +152,6 @@ class ShardPaths:
         self.done_dir.mkdir(parents=True, exist_ok=True)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 # ----------------------------------------------------------------------
 # Leases
 
@@ -223,7 +222,8 @@ def refresh_lease(path: Path, key: str, attempt: int,
                   attempt=int(attempt), acquired_at=acquired_at,
                   heartbeat=time.time())
     try:
-        _atomic_write_text(path, lease.to_json())
+        atomic_write_bytes(path, lease.to_json().encode("utf-8"),
+                           fsync=False)
     except OSError:
         # Lease may have been reclaimed under us; the run loop handles
         # the consequences (duplicate records dedupe on merge).
@@ -319,7 +319,8 @@ def bump_attempts(lease_dir: Path, key: str) -> int:
     """Record one more orphaned attempt; returns the new total."""
     total = read_attempts(lease_dir, key) + 1
     try:
-        _atomic_write_text(attempts_path(lease_dir, key), f"{total}\n")
+        atomic_write_bytes(attempts_path(lease_dir, key),
+                           f"{total}\n".encode("utf-8"), fsync=False)
     except OSError:
         pass
     return total
@@ -369,131 +370,6 @@ class _HeartbeatThread(threading.Thread):
 # Recovery-event log
 
 
-# Rotation bounds for the recovery-event log: a long-lived supervisor
-# (or the alignment service, which shares this class) must not grow one
-# append-only file without limit.
-DEFAULT_EVENT_LOG_MAX_BYTES = 1 << 20
-DEFAULT_EVENT_LOG_SEGMENTS = 8
-
-
-class EventLog:
-    """Append log of recovery events with bounded growth.
-
-    Single live writer per path (the supervisor, or one service
-    process); readers are free.  Once the live file would exceed
-    ``max_bytes`` it is rotated — atomically renamed to a numbered
-    segment (``<name>.0001``, ``<name>.0002``, ...) — and segments past
-    ``max_segments`` are compacted away oldest-first, so total disk use
-    is bounded by roughly ``max_bytes * (max_segments + 1)``.
-    :func:`load_event_segments` reads the full history across every
-    surviving segment plus the live file.  Thread-safe: the service
-    records events from worker threads.
-    """
-
-    def __init__(self, path: Path,
-                 max_bytes: int = DEFAULT_EVENT_LOG_MAX_BYTES,
-                 max_segments: int = DEFAULT_EVENT_LOG_SEGMENTS):
-        self.path = Path(path)
-        self.max_bytes = int(max_bytes)
-        self.max_segments = max(int(max_segments), 1)
-        self._handle = None
-        self._lock = threading.Lock()
-
-    def record(self, kind: str, **details) -> None:
-        entry = {"kind": kind, "time": time.time(), "pid": os.getpid()}
-        entry.update(details)
-        line = json.dumps(entry, sort_keys=True) + "\n"
-        with self._lock:
-            if self._handle is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = open(self.path, "a", encoding="utf-8")
-            try:
-                size = os.fstat(self._handle.fileno()).st_size
-            except OSError:
-                size = 0
-            if (self.max_bytes and size
-                    and size + len(line.encode("utf-8")) > self.max_bytes):
-                self._rotate_locked()
-            self._handle.write(line)
-            self._handle.flush()
-            try:
-                os.fsync(self._handle.fileno())
-            except OSError:
-                pass
-
-    def _rotate_locked(self) -> None:
-        """Seal the live file as the next numbered segment; compact."""
-        self._handle.close()
-        self._handle = None
-        segments = event_log_segments(self.path)
-        next_index = 1
-        if segments:
-            next_index = int(segments[-1].name.rsplit(".", 1)[1]) + 1
-        try:
-            os.replace(self.path,
-                       self.path.with_name(f"{self.path.name}"
-                                           f".{next_index:04d}"))
-        except OSError:
-            pass  # rotation is best-effort; appending must go on
-        segments = event_log_segments(self.path)
-        while len(segments) > self.max_segments:
-            try:
-                segments.pop(0).unlink()
-            except OSError:
-                pass
-        self._handle = open(self.path, "a", encoding="utf-8")
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-
-
-# Back-compat alias for the pre-rotation private name.
-_EventLog = EventLog
-
-
-def event_log_segments(path: Union[str, Path]) -> List[Path]:
-    """Rotated segments of one event log, oldest first (live file excluded)."""
-    path = Path(path)
-    prefix = f"{path.name}."
-    found = []
-    for candidate in path.parent.glob(f"{path.name}.*"):
-        suffix = candidate.name[len(prefix):]
-        if suffix.isdigit():
-            found.append((int(suffix), candidate))
-    return [segment for _, segment in sorted(found)]
-
-
-def _read_event_file(path: Path) -> List[Dict[str, object]]:
-    """One segment's events, tolerating a truncated trailing line (the
-    writer can be SIGKILLed mid-append like anyone else)."""
-    events: List[Dict[str, object]] = []
-    try:
-        raw = path.read_bytes()
-    except OSError:
-        return events
-    for line in raw.splitlines(keepends=True):
-        if not line.endswith(b"\n"):
-            break
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            break
-    return events
-
-
-def load_event_segments(path: Union[str, Path]) -> List[Dict[str, object]]:
-    """Every event across rotated segments plus the live file, in order."""
-    path = Path(path)
-    events: List[Dict[str, object]] = []
-    for segment in event_log_segments(path):
-        events.extend(_read_event_file(segment))
-    events.extend(_read_event_file(path))
-    return events
-
-
 def load_recovery_events(journal_base: Union[str, Path]
                          ) -> List[Dict[str, object]]:
     """The scheduler's recovery events for one journal base path.
@@ -540,40 +416,6 @@ def _enumerate_cells(config, graphs) -> List[_Cell]:
     return cells
 
 
-def _read_shard_records(path: Path, fingerprint: Optional[str]
-                        ) -> Dict[str, RunRecord]:
-    """Read one shard **without mutating it** (unlike ``RunJournal.__init__``,
-    which truncates torn tails — fatal to a shard another process is
-    still appending to).  Torn or corrupt tails are simply ignored; the
-    owning worker repairs its own shard when it reopens it.
-    """
-    records: Dict[str, RunRecord] = {}
-    try:
-        raw = path.read_bytes()
-    except OSError:
-        return records
-    for line in raw.splitlines(keepends=True):
-        if not line.endswith(b"\n"):
-            break
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            break
-        kind = entry.get("kind")
-        if kind == "header":
-            theirs = entry.get("fingerprint")
-            if (fingerprint is not None and theirs is not None
-                    and theirs != fingerprint):
-                raise ExperimentError(
-                    f"journal shard {path} was written for a different "
-                    f"experiment configuration (fingerprint {theirs} != "
-                    f"{fingerprint}); use a fresh journal path"
-                )
-        elif kind == "record":
-            records[entry["key"]] = RunRecord.from_dict(entry["record"])
-    return records
-
-
 def merge_shard_records(paths: ShardPaths, fingerprint: Optional[str]
                         ) -> Dict[str, RunRecord]:
     """All shards merged with per-key dedupe (first shard in sorted order
@@ -581,9 +423,22 @@ def merge_shard_records(paths: ShardPaths, fingerprint: Optional[str]
     window and were computed from the same deterministic seed)."""
     merged: Dict[str, RunRecord] = {}
     for shard_path in paths.existing_shards():
-        for key, record in _read_shard_records(shard_path,
-                                               fingerprint).items():
-            merged.setdefault(key, record)
+        # read_log never truncates: another worker may still be appending
+        # to this shard, and the owner repairs its own torn tail on reopen.
+        for entry in read_log(shard_path)[0]:
+            kind = entry.get("kind")
+            if kind == "header":
+                theirs = entry.get("fingerprint")
+                if (fingerprint is not None and theirs is not None
+                        and theirs != fingerprint):
+                    raise ExperimentError(
+                        f"journal shard {shard_path} was written for a "
+                        "different experiment configuration (fingerprint "
+                        f"{theirs} != {fingerprint}); use a fresh journal "
+                        "path"
+                    )
+            elif kind == "record" and entry["key"] not in merged:
+                merged[entry["key"]] = RunRecord.from_dict(entry["record"])
     return merged
 
 
@@ -597,7 +452,8 @@ def _done_path(paths: ShardPaths, key: str) -> Path:
 
 def _publish_done(paths: ShardPaths, key: str) -> None:
     try:
-        _atomic_write_text(_done_path(paths, key), key + "\n")
+        atomic_write_bytes(_done_path(paths, key),
+                           (key + "\n").encode("utf-8"), fsync=False)
     except OSError:
         pass  # worst case the cell is re-run; merge dedupes
 
@@ -857,6 +713,13 @@ def run_sharded_experiment(
         worker.start()
         return worker
 
+    def respawn(index: int) -> None:
+        worker = workers[index]
+        worker.join()
+        events.record("worker_respawned", shard=index,
+                      exit_code=worker.exitcode)
+        workers[index] = spawn(index)
+
     workers = {index: spawn(index) for index in range(n_shards)}
     reported = set(resumed)
     try:
@@ -873,6 +736,7 @@ def run_sharded_experiment(
 
             for path, lease, reason in scan_stale_leases(paths.lease_dir,
                                                          lease_timeout):
+                killed = None
                 if reason == "expired_heartbeat" and lease.pid > 0 \
                         and lease.host == socket.gethostname() \
                         and _pid_alive(lease.pid):
@@ -884,19 +748,24 @@ def run_sharded_experiment(
                         os.kill(lease.pid, signal.SIGKILL)
                     except OSError:
                         pass
+                    killed = next((index for index, worker in workers.items()
+                                   if worker.pid == lease.pid), None)
                 attempts = bump_attempts(paths.lease_dir, lease.key) \
                     if lease.key else 0
                 events.record("lease_reclaimed", key=lease.key,
                               pid=lease.pid, reason=reason,
                               attempts=attempts)
                 release_lease(path)
+                if killed is not None:
+                    # Respawn in this same pass: the surviving shards may
+                    # finish every other cell before the next poll would
+                    # notice the death, but the cell just reclaimed is
+                    # still pending, so the replacement has work to claim.
+                    respawn(killed)
 
             for index, worker in list(workers.items()):
                 if not worker.is_alive():
-                    worker.join()
-                    events.record("worker_respawned", shard=index,
-                                  exit_code=worker.exitcode)
-                    workers[index] = spawn(index)
+                    respawn(index)
             time.sleep(_SUPERVISOR_POLL_SECONDS)
 
         for worker in workers.values():

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cache_disk import atomic_write_bytes
+from repro.durable import atomic_write_bytes
 from repro.exceptions import ExperimentError
 from repro.harness.scheduler import (
     bump_attempts,

@@ -23,7 +23,7 @@ repository has already hardened one PR at a time:
   (:mod:`repro.cache_disk`), so a re-served request is a cache hit and
   an evicted result is recomputed transparently;
 * every recovery action (lease reclaims, expiries, recomputes, drain)
-  is logged to a rotated :class:`~repro.harness.scheduler.EventLog`.
+  is logged to a rotated :class:`~repro.durable.EventLog`.
 
 **Robustness contract** (what the chaos suite pins):
 
@@ -54,18 +54,14 @@ from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.cache_disk import DiskArtifactCache, atomic_write_bytes
+from repro.cache_disk import DiskArtifactCache
+from repro.durable import EventLog, atomic_write_bytes, load_event_segments
 from repro.exceptions import ExperimentError
 from repro.harness.budget import CellBudget, run_cell_with_budget
 from repro.harness.results import RunRecord
 from repro.harness.retry import RetryPolicy, run_with_retry
 from repro.harness.runner import run_cell
-from repro.harness.scheduler import (
-    EventLog,
-    _HeartbeatThread,
-    lease_path,
-    load_event_segments,
-)
+from repro.harness.scheduler import _HeartbeatThread, lease_path
 from repro.noise import GraphPair
 from repro.service.queue import AlignmentRequest, DurableRequestQueue, QueueFull
 from repro.service.tickets import Ticket, TicketError, TicketStore
@@ -194,7 +190,6 @@ class AlignmentService:
             lease_timeout_seconds=lease_timeout_seconds)
         self.results = DiskArtifactCache(self.root / "cache")
         self.events = EventLog(self.root / "events.jsonl")
-        self._events_lock = threading.Lock()
         self._runner = runner or _default_runner
         self._draining = False
         self._in_flight: Dict[str, float] = {}
@@ -206,8 +201,7 @@ class AlignmentService:
     # -- events ------------------------------------------------------------
 
     def _record_event(self, kind: str, **details) -> None:
-        with self._events_lock:
-            self.events.record(kind, **details)
+        self.events.record(kind, **details)
 
     # -- recovery ----------------------------------------------------------
 

@@ -18,7 +18,7 @@ Tickets move through a journaled state machine::
 
 ``done``, ``failed``, ``expired``, and ``cancelled`` are **terminal**:
 no journal entry, however late it arrives or replays, moves a ticket out
-of them.  Every transition is an fsynced append to a JSONL journal
+of them.  Every transition is a durable append (:mod:`repro.durable`)
 *before* it is acknowledged, so a SIGKILL at any instant loses at most
 the transition in flight — and that one is reconstructed on restart from
 the filesystem truth (lease files, done markers, the result cache) by
@@ -36,7 +36,6 @@ cross-process locking.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import socket
 import threading
@@ -46,6 +45,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.cache import canonicalize_params
+from repro.durable import AppendLog, read_log
 from repro.exceptions import ExperimentError
 
 __all__ = [
@@ -192,8 +192,9 @@ class TicketStore:
     an external submitter becomes visible to the server within one poll
     interval.
 
-    Crash-safety: every append is flushed and fsynced before the mutated
-    ticket is returned, and replay tolerates a torn trailing line per
+    Crash-safety: every append is durable before the mutated ticket is
+    returned — an append that cannot be made durable raises and leaves
+    the ticket unchanged — and replay tolerates a torn trailing line per
     segment (complete entries before it are kept).
     """
 
@@ -202,30 +203,13 @@ class TicketStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._segment = (self.root
                          / f"{socket.gethostname()}-{os.getpid()}.jsonl")
-        self._owner_pid = os.getpid()
+        self._log = AppendLog(self._segment)
         self._lock = threading.RLock()
-        self._handle = None
         self._seq = 0
         self._tickets: Dict[str, Ticket] = {}
         self.refresh()
 
     # -- folding -----------------------------------------------------------
-
-    @staticmethod
-    def _read_segment(path: Path) -> List[Dict[str, object]]:
-        entries: List[Dict[str, object]] = []
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return entries
-        for line in raw.splitlines(keepends=True):
-            if not line.endswith(b"\n"):
-                break  # torn tail from a crash mid-append
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError:
-                break
-        return entries
 
     @staticmethod
     def _fold(entries: List[Dict[str, object]]) -> Dict[str, Ticket]:
@@ -288,31 +272,18 @@ class TicketStore:
         with self._lock:
             entries: List[Dict[str, object]] = []
             for path in sorted(self.root.glob("*.jsonl")):
-                entries.extend(self._read_segment(path))
+                entries.extend(read_log(path)[0])
             self._tickets = self._fold(entries)
 
     # -- writing -----------------------------------------------------------
 
     def _append(self, entry: Dict[str, object]) -> None:
-        if os.getpid() != self._owner_pid:
-            raise TicketError(
-                f"ticket segment {self._segment} is owned by pid "
-                f"{self._owner_pid} but append was called from pid "
-                f"{os.getpid()} — open a fresh TicketStore per process"
-            )
-        if self._handle is None:
-            self._handle = open(self._segment, "a", encoding="utf-8")
         self._seq += 1
         entry.setdefault("time", time.time())
         entry["seq"] = self._seq
         entry["pid"] = os.getpid()
         entry["host"] = socket.gethostname()
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._handle.flush()
-        try:
-            os.fsync(self._handle.fileno())
-        except OSError:
-            pass
+        self._log.append(entry)
 
     def submit(
         self,
@@ -423,10 +394,7 @@ class TicketStore:
         return totals
 
     def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+        self._log.close()
 
     def __enter__(self) -> "TicketStore":
         return self

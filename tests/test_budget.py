@@ -15,12 +15,7 @@ from repro.algorithms.base import (
 )
 from repro.exceptions import ExperimentError
 from repro.graphs import powerlaw_cluster_graph
-from repro.harness import (
-    PROFILES,
-    CellBudget,
-    run_cell_with_budget,
-    run_cell_with_timeout,
-)
+from repro.harness import PROFILES, CellBudget, run_cell_with_budget
 from repro.noise import make_pair
 
 PAIR = make_pair(powerlaw_cluster_graph(40, 3, 0.3, seed=71), "one-way",
@@ -251,15 +246,19 @@ class TestRecordRetagging:
 
 
 class TestTimeoutCompatibility:
+    """Budgets shaped as a wall-clock deadline plus an optional memory
+    cap, the form sweeps with a per-cell timeout pass to the runner."""
+
     def test_timeout_front_accepts_memory_limit(self):
-        record = run_cell_with_timeout("_hog", PAIR, "pl", 0,
-                                       timeout_seconds=120,
-                                       memory_limit_bytes=1 * GIB)
+        budget = CellBudget(time_seconds=120, memory_bytes=1 * GIB,
+                            grace_seconds=2.0)
+        record = run_cell_with_budget("_hog", PAIR, "pl", 0, budget)
         assert record.failed
         assert "MemoryError" in record.error or "died" in record.error
 
     def test_timeout_front_reports_dead_child(self):
-        record = run_cell_with_timeout("_suddendeath", PAIR, "pl", 0,
-                                       timeout_seconds=60)
+        budget = CellBudget(time_seconds=60, memory_bytes=None,
+                            grace_seconds=2.0)
+        record = run_cell_with_budget("_suddendeath", PAIR, "pl", 0, budget)
         assert record.failed
         assert "died without result" in record.error

@@ -17,10 +17,10 @@ import pytest
 from repro.cache import ArtifactCache, artifact_cache, caching
 from repro.cache_disk import (
     DiskArtifactCache,
-    atomic_write_bytes,
     entry_key,
     load_cache_events,
 )
+from repro.durable import atomic_write_bytes
 from repro.faults import corrupt_random_cache_entry
 from repro.graphs import powerlaw_cluster_graph
 

@@ -330,11 +330,11 @@ class TestJournalForkGuard:
 
 class TestEventLogRotation:
     def _log(self, tmp_path, **kwargs):
-        from repro.harness.scheduler import EventLog
+        from repro.durable import EventLog
         return EventLog(tmp_path / "J.events.jsonl", **kwargs)
 
     def test_small_log_never_rotates(self, tmp_path):
-        from repro.harness.scheduler import event_log_segments
+        from repro.durable import event_log_segments
         log = self._log(tmp_path)
         log.record("lease_reclaimed", key="k")
         log.close()
@@ -342,7 +342,7 @@ class TestEventLogRotation:
         assert (tmp_path / "J.events.jsonl").exists()
 
     def test_rotation_bounds_every_sealed_segment(self, tmp_path):
-        from repro.harness.scheduler import event_log_segments
+        from repro.durable import event_log_segments
         log = self._log(tmp_path, max_bytes=256, max_segments=4)
         for index in range(60):
             log.record("lease_reclaimed", key=f"cell-{index:03d}")
@@ -353,7 +353,7 @@ class TestEventLogRotation:
             assert segment.stat().st_size <= 256 + 128
 
     def test_reads_span_segments_in_order(self, tmp_path):
-        from repro.harness.scheduler import load_event_segments
+        from repro.durable import load_event_segments
         log = self._log(tmp_path, max_bytes=256, max_segments=100)
         for index in range(60):
             log.record("lease_reclaimed", key=f"cell-{index:03d}")
@@ -363,8 +363,7 @@ class TestEventLogRotation:
             [f"cell-{i:03d}" for i in range(60)]
 
     def test_compaction_drops_oldest_beyond_cap(self, tmp_path):
-        from repro.harness.scheduler import (event_log_segments,
-                                             load_event_segments)
+        from repro.durable import event_log_segments, load_event_segments
         log = self._log(tmp_path, max_bytes=256, max_segments=3)
         for index in range(200):
             log.record("lease_reclaimed", key=f"cell-{index:03d}")
@@ -379,7 +378,7 @@ class TestEventLogRotation:
         assert len(keys) < 200
 
     def test_load_recovery_events_spans_rotated_segments(self, tmp_path):
-        from repro.harness.scheduler import EventLog
+        from repro.durable import EventLog
         paths = ShardPaths(tmp_path / "J", 1)
         paths.ensure_dirs()
         log = EventLog(paths.events_path, max_bytes=256, max_segments=100)

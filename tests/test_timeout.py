@@ -1,4 +1,4 @@
-"""Tests for the hard wall-clock budget runner."""
+"""Tests for the hard wall-clock deadline of the budget runner."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from repro.algorithms.base import (
 )
 from repro.exceptions import ExperimentError
 from repro.graphs import powerlaw_cluster_graph
-from repro.harness import run_cell_with_timeout
+from repro.harness import CellBudget, run_cell_with_budget
 from repro.noise import make_pair
 
 PAIR = make_pair(powerlaw_cluster_graph(40, 3, 0.3, seed=61), "one-way",
@@ -45,32 +45,32 @@ def _register_sleeper():
     ALGORITHM_REGISTRY.pop("_sleeper", None)
 
 
+def _run(algorithm, repetition, timeout_seconds):
+    return run_cell_with_budget(algorithm, PAIR, "pl", repetition,
+                                CellBudget(time_seconds=timeout_seconds))
+
+
 class TestTimeout:
     def test_fast_cell_succeeds(self):
-        record = run_cell_with_timeout("isorank", PAIR, "pl", 0,
-                                       timeout_seconds=60)
+        record = _run("isorank", 0, timeout_seconds=60)
         assert not record.failed
         assert record.dataset == "pl"
         assert "accuracy" in record.measures
 
     def test_slow_cell_killed(self):
-        record = run_cell_with_timeout("_sleeper", PAIR, "pl", 0,
-                                       timeout_seconds=1.5)
+        record = _run("_sleeper", 0, timeout_seconds=1.5)
         assert record.failed
         assert "timeout" in record.error
 
     def test_child_error_captured(self):
-        record = run_cell_with_timeout("no-such-algorithm", PAIR, "pl", 0,
-                                       timeout_seconds=30)
+        record = _run("no-such-algorithm", 0, timeout_seconds=30)
         assert record.failed
         assert record.error
 
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ExperimentError):
-            run_cell_with_timeout("isorank", PAIR, "pl", 0,
-                                  timeout_seconds=0)
+            _run("isorank", 0, timeout_seconds=0)
 
     def test_repetition_tag_preserved(self):
-        record = run_cell_with_timeout("nsd", PAIR, "pl", repetition=3,
-                                       timeout_seconds=60)
+        record = _run("nsd", 3, timeout_seconds=60)
         assert record.repetition == 3
