@@ -41,10 +41,14 @@ def extract_alignment(similarity, method: str = "jv") -> np.ndarray:
     unmatched).  ``"mwm"`` honors sparsity (absent entries are ineligible).
     For the other methods a sparse input is densified — unless an active
     sketch policy (:mod:`repro.sketch`) covers the problem size, in which
-    case candidate-restricted sparse extractors run instead (``"jv"``
-    routes to the exact sparse matcher, whose full-matching optimum
-    coincides with JV's on the candidate set).  Each densification of a
-    sparse input bumps the ``assignment_densified`` trace counter.
+    case candidate-restricted sparse extractors run instead.  ``"jv"``
+    then routes to :func:`~repro.assignment.sparse.sparse_max_weight_matching`:
+    exact when the candidate set admits a full matching (its optimum
+    coincides with JV's on the candidate set), otherwise, above the
+    masked-dense size limit, a greedy maximal matching that records an
+    ``assignment`` diagnostic with ``fallback_used="greedy"`` and bumps
+    the ``assignment_greedy_fallback`` trace counter.  Each densification
+    of a sparse input bumps the ``assignment_densified`` trace counter.
 
     When the exact JV solver reports an infeasible problem on an otherwise
     valid (finite) matrix, the SortGreedy back-end is used instead and a
@@ -69,7 +73,7 @@ def extract_alignment(similarity, method: str = "jv") -> np.ndarray:
                 return sparse_nearest_neighbor_one_to_one(similarity)
             if method == "sg":
                 return sparse_sort_greedy(similarity)
-            return sparse_max_weight_matching(similarity)  # jv, exact
+            return sparse_max_weight_matching(similarity)  # jv
         add_counter("assignment_densified")
         similarity = similarity.toarray()
     if method == "nn":

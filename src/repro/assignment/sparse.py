@@ -25,6 +25,9 @@ Solver routing, in order:
   this way bumps the ``assignment_densified`` trace counter, the
   observable the sparse-first contract is audited by.
 * instances too large to densify fall back to a maximal greedy matching.
+  Both greedy routes record an ``assignment`` diagnostic with
+  ``fallback_used="greedy"`` and bump the ``assignment_greedy_fallback``
+  trace counter, so a greedy result is never mistaken for the optimum.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
+from repro.diagnostics import record_diagnostic
 from repro.exceptions import AssignmentError
 from repro.observability import add_counter
 
@@ -67,6 +71,16 @@ def _greedy_sparse(matrix: sparse.csr_matrix) -> np.ndarray:
             mapping[i] = j
             col_taken[j] = True
     return mapping
+
+
+def _greedy_fallback(matrix: sparse.csr_matrix, kind: str,
+                     reason: str) -> np.ndarray:
+    """The greedy matching, recorded as a degradation of the exact one."""
+    record_diagnostic("assignment", kind,
+                      f"{reason}; greedy maximal matching used instead",
+                      fallback_used="greedy")
+    add_counter("assignment_greedy_fallback")
+    return _greedy_sparse(matrix)
 
 
 def _exact_sparse(matrix: sparse.csr_matrix) -> np.ndarray:
@@ -171,15 +185,22 @@ def sparse_max_weight_matching(similarity) -> np.ndarray:
     if was_sparse and density <= _SPARSE_DENSITY_CUTOFF:
         try:
             return _exact_sparse(mat)
-        except ValueError:
+        except ValueError as exc:
             # No perfect matching on the candidate pattern.  Small
             # instances densify below — the masked-dense solver finds
             # the optimal *partial* matching; large ones go greedy.
             if max(n_rows, n_cols) > _DENSE_LIMIT:
-                return _greedy_sparse(mat)
+                return _greedy_fallback(
+                    mat, "lap_infeasible",
+                    f"exact sparse matching failed ({exc}) on a "
+                    f"{n_rows} x {n_cols} candidate set too large to "
+                    "densify")
 
     if max(n_rows, n_cols) > _DENSE_LIMIT:
-        return _greedy_sparse(mat)
+        return _greedy_fallback(
+            mat, "dense_limit",
+            f"{n_rows} x {n_cols} similarity (density {density:.3g}) is "
+            f"above the {_DENSE_LIMIT}-node masked-dense limit")
     if was_sparse:
         add_counter("assignment_densified")
 

@@ -40,6 +40,7 @@ kind                   stage       emitted when
 ``eigsh_failure``      spectral    sparse Lanczos failed; dense solve used
 ``nonconvergence``     sinkhorn    iteration budget hit; current plan returned
 ``lap_infeasible``     assignment  exact LAP infeasible; greedy matching used
+``dense_limit``        assignment  matching too large to densify; greedy used
 ``dense_bypass``       similarity  dense n x n matrix above the sketch threshold
 =====================  ==========  ==============================================
 """

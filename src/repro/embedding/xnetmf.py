@@ -26,9 +26,13 @@ from repro.cache import cached_artifact
 from repro.exceptions import AlgorithmError
 from repro.graphs.generators import SeedLike, as_rng
 from repro.graphs.graph import Graph
-from repro.graphs.operations import bfs_distances
+from repro.graphs.operations import khop_shells
 
 __all__ = ["structural_features", "xnetmf_embeddings"]
+
+# Rows of the landmark-similarity broadcast evaluated at once: the
+# (rows, p, width) difference tensor stays O(block) instead of O(n).
+_SIMILARITY_BLOCK = 1024
 
 
 def structural_features(
@@ -42,7 +46,8 @@ def structural_features(
     Degrees ``d`` land in bucket ``floor(log2(d))``; hop-``k`` neighborhoods
     are weighted ``delta**(k-1)``.  ``num_buckets`` fixes the feature width
     so features from two graphs are comparable (defaults to the width needed
-    for this graph).
+    for this graph).  All nodes' hop shells come from one blocked sparse
+    frontier expansion (:func:`~repro.graphs.operations.khop_shells`).
     """
     degrees = graph.degrees.astype(np.int64)
     max_deg = int(degrees.max()) if degrees.size else 0
@@ -56,14 +61,16 @@ def structural_features(
     def produce() -> np.ndarray:
         features = np.zeros((graph.num_nodes, width))
         bucket = np.floor(np.log2(np.maximum(degrees, 1))).astype(np.int64)
-        for u in range(graph.num_nodes):
-            dist = bfs_distances(graph, u, max_depth=max_hops)
-            for k in range(1, max_hops + 1):
-                members = np.flatnonzero(dist == k)
-                if members.size == 0:
-                    break
-                hist = np.bincount(bucket[members], minlength=width)
-                features[u] += (delta ** (k - 1)) * hist
+        for start, shells in khop_shells(graph, max_hops):
+            block = features[start:start + shells[0].shape[0]]
+            # Hop by hop, so every entry is the float sum a per-node BFS
+            # builds (an empty shell adds exact zeros for finite delta).
+            for k, shell in enumerate(shells, start=1):
+                rows = np.repeat(np.arange(shell.shape[0]),
+                                 np.diff(shell.indptr))
+                hist = np.bincount(rows * width + bucket[shell.indices],
+                                   minlength=shell.shape[0] * width)
+                block += (delta ** (k - 1)) * hist.reshape(-1, width)
         return features
 
     # Keyed on the *resolved* width, so "default width for this graph"
@@ -79,8 +86,12 @@ def structural_features(
 def _landmark_similarities(features: np.ndarray, landmarks: np.ndarray,
                            gamma: float) -> np.ndarray:
     """``exp(-gamma * ||d_u - d_l||^2)`` for every node/landmark pair."""
-    diff = features[:, np.newaxis, :] - landmarks[np.newaxis, :, :]
-    return np.exp(-gamma * (diff ** 2).sum(axis=2))
+    out = np.empty((features.shape[0], landmarks.shape[0]))
+    for lo in range(0, features.shape[0], _SIMILARITY_BLOCK):
+        rows = features[lo:lo + _SIMILARITY_BLOCK]
+        diff = rows[:, np.newaxis, :] - landmarks[np.newaxis, :, :]
+        out[lo:lo + _SIMILARITY_BLOCK] = np.exp(-gamma * (diff ** 2).sum(axis=2))
+    return out
 
 
 def xnetmf_embeddings(

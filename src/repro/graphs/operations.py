@@ -7,9 +7,10 @@ experiments need node permutations with tracked ground truth.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
@@ -25,7 +26,12 @@ __all__ = [
     "add_edges",
     "remove_edges",
     "bfs_distances",
+    "khop_shells",
 ]
+
+# Source nodes expanded together by :func:`khop_shells`.  Transient memory
+# is O(block x reach) instead of O(nnz(A^k)) for the whole graph.
+_KHOP_BLOCK = 1024
 
 
 def connected_components(graph: Graph) -> np.ndarray:
@@ -155,3 +161,38 @@ def bfs_distances(graph: Graph, source: int, max_depth: int | None = None) -> np
                     nxt.append(int(nb))
         frontier = nxt
     return dist
+
+
+def khop_shells(graph: Graph,
+                max_hops: int) -> Iterator[Tuple[int, List[sparse.csr_matrix]]]:
+    """Exact hop-distance shells of every node, a block of sources at a time.
+
+    Yields ``(start, shells)`` for consecutive blocks of at most
+    ``_KHOP_BLOCK`` source nodes ``start, start + 1, ...``.  ``shells[k-1]``
+    is a boolean CSR matrix (block rows x ``n``) whose row ``i`` holds the
+    nodes at hop distance exactly ``k`` from ``start + i`` -- the set
+    ``bfs_distances(graph, start + i) == k``.  Column indices within a row
+    come in no particular order; call ``sort_indices()`` where order
+    matters.
+
+    All sources of a block expand together by sparse boolean products:
+    ``next = (shell_k @ A) > (shell_{k-1} + shell_k)``.  A neighbor of a
+    node at distance ``k`` lies at distance ``k-1``, ``k`` or ``k+1``, so
+    the last two shells are all that must be subtracted.
+    """
+    n = graph.num_nodes
+    if max_hops < 1:
+        return
+    adj = graph.adjacency().astype(bool)
+    for start in range(0, n, _KHOP_BLOCK):
+        stop = min(start + _KHOP_BLOCK, n)
+        previous = sparse.csr_matrix(
+            (np.ones(stop - start, dtype=bool), np.arange(start, stop),
+             np.arange(stop - start + 1)), shape=(stop - start, n))
+        shell = adj[start:stop]
+        shells = [shell]
+        for _ in range(max_hops - 1):
+            nxt = (shell @ adj) > (previous + shell)
+            previous, shell = shell, nxt
+            shells.append(shell)
+        yield start, shells

@@ -15,11 +15,12 @@ matchable nodes only (see :func:`repro.measures.accuracy`).
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from repro.exceptions import NoiseError
 from repro.graphs.generators import SeedLike, as_rng
 from repro.graphs.graph import Graph
-from repro.graphs.operations import bfs_distances, induced_subgraph, permute_graph
+from repro.graphs.operations import induced_subgraph, khop_shells, permute_graph
 from repro.noise.pairs import GraphPair
 
 __all__ = [
@@ -85,6 +86,12 @@ def distance_noise_pair(
     count = int(round(noise_level * len(edges)))
     edge_set = set(edges)
     order = rng.permutation(len(edges))
+    if count:
+        # Hop-2 shells of the *unmodified* graph, one row per node; sorted
+        # columns list each node's candidates in ascending order.
+        hop2 = sparse.vstack([shells[1] for _, shells
+                              in khop_shells(graph, 2)], format="csr")
+        hop2.sort_indices()
     rewired = 0
     for idx in order:
         if rewired == count:
@@ -92,8 +99,7 @@ def distance_noise_pair(
         u, v = edges[idx]
         if (u, v) not in edge_set:
             continue  # already replaced as some other edge's endpoint
-        dist = bfs_distances(graph, u, max_depth=2)
-        candidates = np.flatnonzero(dist == 2)
+        candidates = hop2.indices[hop2.indptr[u]:hop2.indptr[u + 1]]
         candidates = [int(w) for w in candidates
                       if (min(u, w), max(u, w)) not in edge_set]
         if not candidates:

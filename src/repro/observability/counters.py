@@ -58,6 +58,8 @@ KNOWN_COUNTERS = {
     "similarity_topk": "per-row candidate budget of sparse top-k similarity",
     "assignment_densified":
         "sparse similarity matrices densified by an assignment back-end",
+    "assignment_greedy_fallback":
+        "exact sparse matchings replaced by the greedy maximal matching",
     "dense_bypass":
         "dense n x n similarities materialized above the sketch threshold",
 }

@@ -186,6 +186,49 @@ class TestSparseMwm:
         assert np.array_equal(mapping, perm)
 
 
+class TestSparseGreedyFallback:
+    """Above the masked-dense limit, greedy is recorded, never silent."""
+
+    @staticmethod
+    def _run(similarity):
+        from repro.diagnostics import capture_diagnostics
+        from repro.observability import (capture_trace, counter_totals,
+                                         span, tracing)
+        with tracing(True), capture_trace() as trace, \
+                capture_diagnostics() as events:
+            with span("test"):
+                mapping = sparse_max_weight_matching(similarity)
+        return mapping, events, counter_totals(trace.to_payload())
+
+    @pytest.mark.parametrize("similarity, kind", [
+        # Thin sparse pattern where rows 0 and 1 compete for column 0:
+        # no full matching exists.
+        (sparse.csr_matrix((np.array([0.9, 0.5, 0.4, 0.3]),
+                            (np.array([0, 1, 2, 3]), np.array([0, 0, 2, 3]))),
+                           shape=(4, 4)),
+         "lap_infeasible"),
+        # Dense input: never offered to the exact sparse matcher.
+        (np.array([[0.9, 0.2], [0.8, 0.1]]), "dense_limit"),
+    ])
+    def test_recorded_and_counted(self, similarity, kind, monkeypatch):
+        from repro.assignment import sparse as sparse_module
+        expected = sparse_module._greedy_sparse(sparse.csr_matrix(similarity))
+        monkeypatch.setattr(sparse_module, "_DENSE_LIMIT", 1)
+        mapping, events, totals = self._run(similarity)
+        assert np.array_equal(mapping, expected)
+        assert [(e.stage, e.kind, e.fallback_used) for e in events] == [
+            ("assignment", kind, "greedy")]
+        assert totals.get("assignment_greedy_fallback") == 1
+        assert totals.get("fallback_activations") == 1
+
+    def test_exact_route_records_nothing(self):
+        sim = sparse.csr_matrix(np.array([[0.9, 0.0], [0.0, 0.5]]))
+        mapping, events, totals = self._run(sim)
+        assert mapping.tolist() == [0, 1]
+        assert events == []
+        assert "assignment_greedy_fallback" not in totals
+
+
 class TestExtractAlignment:
     @pytest.mark.parametrize("method", ASSIGNMENT_METHODS)
     def test_all_methods_run(self, method, sim_3x3):

@@ -17,7 +17,13 @@ from repro.graphs import (
     path_graph,
     permute_graph,
 )
-from repro.graphs.operations import add_edges, bfs_distances, remove_edges
+from repro.graphs import operations
+from repro.graphs.operations import (
+    add_edges,
+    bfs_distances,
+    khop_shells,
+    remove_edges,
+)
 
 
 class TestConnectivity:
@@ -154,3 +160,26 @@ class TestBfsDistances:
     def test_max_depth(self):
         dist = bfs_distances(path_graph(6), 0, max_depth=2)
         assert dist.tolist() == [0, 1, 2, -1, -1, -1]
+
+
+class TestKhopShells:
+    @pytest.mark.parametrize("block", [1, 3, 1024])
+    def test_shells_match_bfs(self, block, monkeypatch):
+        monkeypatch.setattr(operations, "_KHOP_BLOCK", block)
+        g = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5),
+                      (6, 7)])  # a 4-cycle with a tail, an edge, a loner
+        starts = []
+        for start, shells in khop_shells(g, 3):
+            starts.append(start)
+            assert len(shells) == 3
+            for i in range(shells[0].shape[0]):
+                dist = bfs_distances(g, start + i, max_depth=3)
+                for k, shell in enumerate(shells, start=1):
+                    row = shell[i]
+                    assert row.dtype == bool
+                    assert sorted(row.indices) == np.flatnonzero(dist == k).tolist()
+        assert starts == list(range(0, 9, block))
+
+    def test_no_hops_or_no_nodes(self):
+        assert list(khop_shells(path_graph(4), 0)) == []
+        assert list(khop_shells(Graph(0), 2)) == []
